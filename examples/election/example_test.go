@@ -2,7 +2,7 @@
 // fails once nodes are rational (everyone dodges the CPU-intensive
 // job); the faithful Vickrey-procurement variant elects the most
 // powerful node in equilibrium and pays it enough to want the job.
-package main
+package election
 
 import (
 	"fmt"
@@ -13,7 +13,7 @@ import (
 	"repro/internal/graph"
 )
 
-func main() {
+func Example() {
 	rng := rand.New(rand.NewSource(7))
 	topo, err := graph.RandomBiconnected(5, 3, 5, rng)
 	if err != nil {
@@ -55,4 +55,15 @@ func main() {
 	for i := range powers {
 		fmt.Printf("  node %d: %d\n", i, fr.Utilities[graph.NodeID(i)])
 	}
+
+	// Output:
+	// naive + rational nodes: leader = node 0 (power 12) — most powerful is node 1 (power 40)
+	// faithful (Vickrey procurement): leader = node 1 (power 40), paid 48 (own cost 30)
+	//
+	// utilities under the faithful spec:
+	//   node 0: 40
+	//   node 1: 58
+	//   node 2: 40
+	//   node 3: 40
+	//   node 4: 40
 }

@@ -1,7 +1,7 @@
 // Interdomain: reproduce the paper's Example 1 interactively — node C
 // lies about its transit cost, which pays off under a naive pricing
 // scheme but not under the FPSS VCG mechanism.
-package main
+package interdomain
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 	"repro/internal/graph"
 )
 
-func main() {
+func Example() {
 	g := graph.Figure1()
 	c, _ := g.ByName("C")
 	x, _ := g.ByName("X")
@@ -60,4 +60,19 @@ func main() {
 	}
 	fmt.Println("\nUnder naive pricing the lie pays; under VCG truth is dominant —")
 	fmt.Println("the strategyproofness Proposition 2 builds on.")
+
+	// Output:
+	// Example 1 (paper §4.1): C's true cost is 1.
+	// declared | u(C) naive | u(C) VCG | X→Z goes via C
+	//        1 |      49991 |    49628 | true
+	//        2 |      49995 |    49628 | true
+	//        3 |      49999 |    49628 | true
+	//        4 |      49997 |    49622 | false
+	//        5 |      49999 |    49622 | false
+	//        6 |      50001 |    49622 | false
+	//        7 |      50003 |    49622 | false
+	//        8 |      50005 |    49622 | false
+	//
+	// Under naive pricing the lie pays; under VCG truth is dominant —
+	// the strategyproofness Proposition 2 builds on.
 }

@@ -1,18 +1,20 @@
 // Quickstart: build the paper's Figure-1 network, run the faithful
 // interdomain-routing protocol end to end, and print the green-lit
 // routing/pricing tables and realized utilities.
-package main
+package quickstart
 
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/faithful"
 	"repro/internal/fpss"
 	"repro/internal/graph"
 )
 
-func main() {
+func Example() {
 	// The example network of the paper's Figure 1: six autonomous
 	// systems with per-packet transit costs.
 	g := graph.Figure1()
@@ -42,8 +44,9 @@ func main() {
 		fmt.Printf(" %s", g.Name(hop))
 	}
 	fmt.Println()
-	for k, e := range res.Nodes[x].Pricing()[z] {
-		fmt.Printf("X pays %s a VCG premium of %d per packet\n", g.Name(k), e.Price)
+	prices := res.Nodes[x].Pricing()[z]
+	for _, k := range slices.Sorted(maps.Keys(prices)) {
+		fmt.Printf("X pays %s a VCG premium of %d per packet\n", g.Name(k), prices[k].Price)
 	}
 
 	fmt.Println("\nrealized utilities (payments - true transit costs + delivery value):")
@@ -51,4 +54,19 @@ func main() {
 		id := graph.NodeID(i)
 		fmt.Printf("  %s: %d\n", g.Name(id), res.Utilities[id])
 	}
+
+	// Output:
+	// green-lit: true (construction used 306 messages)
+	//
+	// X's lowest-cost path to Z: cost=2 via X D C Z
+	// X pays C a VCG premium of 4 per packet
+	// X pays D a VCG premium of 4 per packet
+	//
+	// realized utilities (payments - true transit costs + delivery value):
+	//   A: 49513
+	//   B: 49602
+	//   C: 49628
+	//   D: 50880
+	//   X: 50344
+	//   Z: 49981
 }

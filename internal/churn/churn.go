@@ -11,7 +11,7 @@
 // function of the spec's seed), each epoch of which is a well-formed
 // static scenario — biconnectivity is restored with
 // graph.RepairBiconnected after every membership change — and the
-// deviation search of core.CheckFaithfulness replays the whole
+// deviation search of core.CheckFaithfulnessCfg replays the whole
 // (node, deviation) grid per epoch, including deviations that only
 // exist at epoch boundaries: advertising a stale catalogue from the
 // previous epoch, leaving without settling the final execution phase,

@@ -89,7 +89,7 @@ func TestEpochOneEqualsStatic(t *testing.T) {
 }
 
 // TestEpochOneCheckEqualsStatic: running the churn system on a
-// one-epoch timeline reproduces the static CheckFaithfulness report
+// one-epoch timeline reproduces the static CheckFaithfulnessCfg report
 // play for play (modulo the boundary deviations, which cannot exist
 // without a boundary — the catalogue must collapse to the static one).
 func TestEpochOneCheckEqualsStatic(t *testing.T) {
@@ -109,11 +109,11 @@ func TestEpochOneCheckEqualsStatic(t *testing.T) {
 		variant Variant
 		static  core.System
 	}{{Plain, plainSys}, {Faithful, faithSys}} {
-		want, err := core.CheckFaithfulness(tc.static)
+		want, err := core.CheckFaithfulnessCfg(tc.static, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.CheckFaithfulness(NewSystem(tl, tc.variant))
+		got, err := core.CheckFaithfulnessCfg(NewSystem(tl, tc.variant), core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestChurnVerdicts(t *testing.T) {
 		t.Skip("deviation search")
 	}
 	tl := mustBuild(t, dynamicSpec())
-	plain, err := core.CheckFaithfulness(NewSystem(tl, Plain), core.PerEpoch(), core.Workers(0))
+	plain, err := core.CheckFaithfulnessCfg(NewSystem(tl, Plain), core.CheckConfig{Workers: -1, PerEpoch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestChurnVerdicts(t *testing.T) {
 			t.Errorf("expected a profitable %q against plain FPSS", want)
 		}
 	}
-	faith, err := core.CheckFaithfulness(NewSystem(tl, Faithful), core.PerEpoch(), core.Workers(0))
+	faith, err := core.CheckFaithfulnessCfg(NewSystem(tl, Faithful), core.CheckConfig{Workers: -1, PerEpoch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +326,14 @@ func TestDifferentialWorkersAndOracle(t *testing.T) {
 	tl := mustBuild(t, sp)
 	for _, variant := range []Variant{Plain, Faithful} {
 		for _, perEpoch := range []bool{false, true} {
-			baseOpts := []core.CheckOption{}
-			if perEpoch {
-				baseOpts = append(baseOpts, core.PerEpoch())
-			}
-			oracle, err := core.CheckFaithfulness(NewSystem(tl, variant), baseOpts...)
+			cfg := core.CheckConfig{PerEpoch: perEpoch}
+			oracle, err := core.CheckFaithfulnessCfg(NewSystem(tl, variant), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 7} {
-				got, err := core.CheckFaithfulness(NewSystem(tl, variant),
-					append(append([]core.CheckOption{}, baseOpts...), core.Workers(workers))...)
+				cfg.Workers = workers
+				got, err := core.CheckFaithfulnessCfg(NewSystem(tl, variant), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -358,11 +355,11 @@ func TestPerEpochSubsumesWholeRun(t *testing.T) {
 	}
 	tl := mustBuild(t, dynamicSpec())
 	sys := NewSystem(tl, Plain)
-	whole, err := core.CheckFaithfulness(sys, core.Workers(0))
+	whole, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := core.CheckFaithfulness(sys, core.PerEpoch(), core.Workers(0))
+	per, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{Workers: -1, PerEpoch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,9 @@ type playArena struct {
 	util map[core.NodeID]int64
 }
 
-// timelineUtilities returns the identity-keyed utility map for one
-// timeline play — the context's reusable map, or a fresh one for
-// legacy Run/RunEpoch calls.
+// timelineUtilities returns the context's reusable identity-keyed
+// utility map for one timeline play.
 func timelineUtilities(ctx *core.PlayContext, hint int) map[core.NodeID]int64 {
-	if ctx == nil {
-		return make(map[core.NodeID]int64, hint)
-	}
 	ar := ctx.Value(arenaKey{}, func() any { return &playArena{} }).(*playArena)
 	if ar.util == nil {
 		ar.util = make(map[core.NodeID]int64, hint)
@@ -56,7 +52,9 @@ func (s *System) Snapshot() (core.TruthfulState, error) {
 		return nil, err
 	}
 	s.snapOnce.Do(func() {
-		base, err := s.run(nil, -1, nil, -1)
+		// A context of its own, dropped here: the baseline's map must
+		// never be reused by a later play.
+		base, err := s.run(core.NewPlayContext(), -1, nil, -1)
 		if err != nil {
 			s.snapErr = err
 			return

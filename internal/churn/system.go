@@ -79,20 +79,19 @@ func (d *deviation) activeIn(e int) bool {
 // identity set, a run is the whole timeline (one construction +
 // execution round per epoch), and utilities are summed per identity
 // across epochs with the bank's ledger carrying balances over the
-// boundaries. It implements core.EpochedSystem, so
-// core.CheckFaithfulness(sys, core.PerEpoch(), core.Workers(k)) replays
-// the (identity, deviation) grid per epoch through the same worker
-// pool the static search uses. Run and RunEpoch are safe for
-// concurrent calls once built (the per-epoch caches are lazily
-// initialized under sync.Once and read-only afterwards).
+// boundaries. It implements core.EpochedSystem, so a check with
+// core.CheckConfig{Workers: k, PerEpoch: true} replays the (identity,
+// deviation) grid per epoch through the same worker pool the static
+// search uses. Run and RunEpoch are safe for concurrent calls once
+// built (the per-epoch caches are lazily initialized under sync.Once
+// and read-only afterwards).
 type System struct {
 	tl      *Timeline
 	variant Variant
 
 	once     sync.Once
 	initErr  error
-	epochs   []core.System         // per-epoch rational system
-	stateful []core.StatefulSystem // the same systems, stateful view
+	stateful []core.StatefulSystem // per-epoch rational system
 	states   []core.TruthfulState  // per-epoch truthful snapshot
 	honest   []core.Outcome        // per-epoch honest outcome, epoch-local keys
 	cats     map[Identity][]*deviation
@@ -158,7 +157,6 @@ func (s *System) NumEpochs() int { return len(s.tl.Epochs) }
 
 func (s *System) init() error {
 	s.once.Do(func() {
-		s.epochs = make([]core.System, len(s.tl.Epochs))
 		s.stateful = make([]core.StatefulSystem, len(s.tl.Epochs))
 		s.states = make([]core.TruthfulState, len(s.tl.Epochs))
 		s.honest = make([]core.Outcome, len(s.tl.Epochs))
@@ -190,15 +188,13 @@ func (s *System) init() error {
 					mode = "central"
 				}
 			}
+			var ss core.StatefulSystem = faith
 			if s.variant == Plain {
-				s.epochs[i] = plain
-			} else {
-				s.epochs[i] = faith
+				ss = plain
 			}
 			// One truthful snapshot per epoch: its baseline doubles as
 			// the honest outcome, and every deviant epoch play overlays
 			// it through the caller's play context.
-			ss := core.AsStateful(s.epochs[i])
 			st, err := ss.Snapshot()
 			if err != nil {
 				s.initErr = fmt.Errorf("churn: epoch %d baseline: %w", i, err)
@@ -300,7 +296,7 @@ func (s *System) EpochsOf(n core.NodeID, dev core.Deviation) []int {
 // of its activity set — the dynamic analogue of a static deviant
 // playing its strategy for the whole run.
 func (s *System) Run(deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
-	return s.run(nil, deviator, dev, -1)
+	return s.run(core.NewPlayContext(), deviator, dev, -1)
 }
 
 // RunEpoch implements core.EpochedSystem: the deviation is pinned to
@@ -309,14 +305,14 @@ func (s *System) RunEpoch(deviator core.NodeID, dev core.Deviation, epoch int) (
 	if epoch < 0 || epoch >= len(s.tl.Epochs) {
 		return core.Outcome{}, fmt.Errorf("churn: epoch %d out of range [0,%d)", epoch, len(s.tl.Epochs))
 	}
-	return s.run(nil, deviator, dev, epoch)
+	return s.run(core.NewPlayContext(), deviator, dev, epoch)
 }
 
 // run aggregates the timeline. pin >= 0 restricts the deviation to one
 // epoch. The honest per-epoch outcomes are cached, so a run only pays
-// for the epochs the deviation actually touches; with a play context
-// those epochs route through the per-epoch truthful snapshots and the
-// worker's arena instead of fresh full runs.
+// for the epochs the deviation actually touches; those epochs route
+// through the per-epoch truthful snapshots and ctx's arena instead of
+// fresh full runs.
 func (s *System) run(ctx *core.PlayContext, deviator core.NodeID, dev core.Deviation, pin int) (core.Outcome, error) {
 	if err := s.init(); err != nil {
 		return core.Outcome{}, err

@@ -36,20 +36,18 @@ type engine struct {
 	sepoch  StatefulEpochedSystem // non-nil when the system plays epochs against snapshots
 }
 
-// check is the deviation-search engine behind CheckFaithfulness and
-// CheckFaithfulnessCfg.
+// check is the deviation-search engine behind CheckFaithfulnessCfg.
 //
 // Determinism invariant: the Report (and any error) depends only on
 // the System and the config's semantic fields (EarlyStop, PerEpoch,
-// PruneBound) — never on the worker count, context pooling, or
-// scheduling. Every job writes its result into its own
-// catalogue-order slot; violations are collected in slot order and
-// errors are reported for the earliest failing slot — exactly what
-// the sequential loop would have produced. Pruning is decided at
-// enumeration time from the static bound, so every worker count
-// prunes the same plays. A parallel early-stopped search may
-// *execute* more plays than the sequential one, but it reports the
-// same ones.
+// PruneBound) — never on the worker count or scheduling. Every job
+// writes its result into its own catalogue-order slot; violations are
+// collected in slot order and errors are reported for the earliest
+// failing slot — exactly what a sequential loop would have produced.
+// Pruning is decided at enumeration time from the static bound, so
+// every worker count prunes the same plays. A parallel early-stopped
+// search may *execute* more plays than a single worker, but it reports
+// the same ones.
 func check(sys System, cfg CheckConfig) (Report, error) {
 	e := engine{sys: sys, ss: AsStateful(sys)}
 	st, err := e.ss.Snapshot()
@@ -117,61 +115,47 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 		return r.err != nil || (cfg.EarlyStop && r.violation != nil)
 	}
 
+	// stop is the lowest catalogue index known to end the search.
+	// Workers skip jobs beyond it; lowering it is a best-effort
+	// cancellation, so the value never influences the Report — only
+	// how much wasted work the pool avoids. Every play below the final
+	// minimum still runs, which is all the fold reads. A single worker
+	// takes jobs in catalogue order, so it stops exactly where a
+	// sequential loop would.
 	results := make([]playResult, len(plays))
-	if workers <= 1 {
-		ctx := NewPlayContext(0)
-		for i := range plays {
-			if cfg.FreshContexts {
-				ctx = NewPlayContext(0)
-			}
-			results[i] = e.runPlay(ctx, plays[i])
-			if ends(results[i]) {
-				break
-			}
-		}
-	} else {
-		// stop is the lowest catalogue index known to end the search.
-		// Workers skip jobs beyond it; lowering it is a best-effort
-		// cancellation, so the value never influences the Report —
-		// only how much wasted work the pool avoids. Every play below
-		// the final minimum still runs, which is all the fold reads.
-		stop := len(plays)
-		var mu sync.Mutex
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(worker int) {
-				defer wg.Done()
-				ctx := NewPlayContext(worker)
-				for i := range jobs {
-					mu.Lock()
-					skip := i > stop
-					mu.Unlock()
-					if skip {
-						continue
-					}
-					if cfg.FreshContexts {
-						ctx = NewPlayContext(worker)
-					}
-					r := e.runPlay(ctx, plays[i])
-					results[i] = r
-					if ends(r) {
-						mu.Lock()
-						if i < stop {
-							stop = i
-						}
-						mu.Unlock()
-					}
+	stop := len(plays)
+	var mu sync.Mutex
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			ctx := NewPlayContext()
+			for i := range jobs {
+				mu.Lock()
+				skip := i > stop
+				mu.Unlock()
+				if skip {
+					continue
 				}
-			}(w)
-		}
-		for i := range plays {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+				r := e.runPlay(ctx, plays[i])
+				results[i] = r
+				if ends(r) {
+					mu.Lock()
+					if i < stop {
+						stop = i
+					}
+					mu.Unlock()
+				}
+			}
+		}()
 	}
+	for i := range plays {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 
 	// Fold results in catalogue order.
 	rep := Report{Pruned: len(pruned)}
@@ -199,20 +183,19 @@ func check(sys System, cfg CheckConfig) (Report, error) {
 		sortViolations(rep.Violations)
 	}
 	if cfg.VerifyPruned {
-		if err := e.verifyPruned(pruned, cfg.verifyStride()); err != nil {
+		if err := e.verifyPruned(pruned); err != nil {
 			return Report{}, err
 		}
 	}
 	return rep, nil
 }
 
-// verifyPruned replays every stride-th pruned play sequentially and
-// fails if any of them turns out profitable — the debug net under an
-// unsound PruneBound.
-func (e *engine) verifyPruned(pruned []play, stride int) error {
-	ctx := NewPlayContext(0)
-	for i := 0; i < len(pruned); i += stride {
-		p := pruned[i]
+// verifyPruned replays every pruned play sequentially and fails if
+// any of them turns out profitable — the debug net under an unsound
+// PruneBound.
+func (e *engine) verifyPruned(pruned []play) error {
+	ctx := NewPlayContext()
+	for _, p := range pruned {
 		out, err := e.playOutcome(ctx, p)
 		if err != nil {
 			return fmt.Errorf("core: verify pruned node %d deviation %q: %w", p.node, p.dev.Name(), err)

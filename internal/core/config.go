@@ -38,22 +38,11 @@ type CheckConfig struct {
 	// provider's responsibility — see VerifyPruned.
 	PruneBound PruneBound
 
-	// VerifyPruned replays a sample of pruned plays sequentially
-	// after the search and fails the check if any of them beats its
-	// baseline — a debug mode that catches unsound PruneBound
-	// implementations instead of silently under-reporting.
+	// VerifyPruned replays every pruned play sequentially after the
+	// search and fails the check if any of them beats its baseline —
+	// a debug mode that catches unsound PruneBound implementations
+	// instead of silently under-reporting.
 	VerifyPruned bool
-
-	// VerifySample is the sampling stride for VerifyPruned: every
-	// VerifySample-th pruned play (in catalogue order) is replayed.
-	// Values below 1 mean 1 — replay every pruned play.
-	VerifySample int
-
-	// FreshContexts gives every play a fresh PlayContext instead of
-	// reusing one per worker — a debugging aid that rules out arena
-	// state leaking between plays, at the cost of re-warming every
-	// pool on every play.
-	FreshContexts bool
 }
 
 // PruneBound returns an upper bound on the deviator's utility for the
@@ -83,8 +72,7 @@ func SelfBound(sys System, deviator NodeID, dev Deviation, epoch int) (int64, bo
 	return 0, false
 }
 
-// normalized resolves the config's zero values into the effective
-// worker count.
+// workerCount resolves Workers into the effective pool size.
 func (c CheckConfig) workerCount() int {
 	switch {
 	case c.Workers == 0:
@@ -93,56 +81,4 @@ func (c CheckConfig) workerCount() int {
 		return runtime.NumCPU()
 	}
 	return c.Workers
-}
-
-// verifyStride resolves the VerifyPruned sampling stride.
-func (c CheckConfig) verifyStride() int {
-	if c.VerifySample < 1 {
-		return 1
-	}
-	return c.VerifySample
-}
-
-// CheckOption mutates a CheckConfig.
-//
-// Deprecated: build a CheckConfig and call CheckFaithfulnessCfg. The
-// option constructors below survive so historical call sites migrate
-// incrementally.
-type CheckOption func(*CheckConfig)
-
-// Workers sets the worker-pool size for the deviation search. k <= 0
-// means runtime.NumCPU().
-//
-// Deprecated: set CheckConfig.Workers (note the different zero/negative
-// convention documented there).
-func Workers(k int) CheckOption {
-	return func(c *CheckConfig) {
-		if k <= 0 {
-			k = runtime.NumCPU()
-		}
-		c.Workers = k
-	}
-}
-
-// PerEpoch expands the search grid to (node, deviation, epoch).
-//
-// Deprecated: set CheckConfig.PerEpoch.
-func PerEpoch() CheckOption {
-	return func(c *CheckConfig) { c.PerEpoch = true }
-}
-
-// EarlyStop makes the search return at the first profitable deviation
-// in catalogue order.
-//
-// Deprecated: set CheckConfig.EarlyStop.
-func EarlyStop() CheckOption {
-	return func(c *CheckConfig) { c.EarlyStop = true }
-}
-
-func applyOptions(opts []CheckOption) CheckConfig {
-	var cfg CheckConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }

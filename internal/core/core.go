@@ -10,7 +10,7 @@
 //   - the deviation model (a catalogue of alternative strategies per
 //     node, classified as information-revelation, message-passing or
 //     computation deviations per §3.4);
-//   - CheckFaithfulness, the verifier that exhaustively plays every
+//   - CheckFaithfulnessCfg, the verifier that exhaustively plays every
 //     catalogued unilateral deviation against the suggested strategy
 //     and reports any strict utility gain (violations of IC, CC or AC
 //     — Definitions 9–11); and
@@ -154,8 +154,8 @@ func (r Report) Faithful() bool { return len(r.Violations) == 0 }
 // phases (internal/churn). On top of the whole-run Run inherited from
 // System (deviation active in every epoch the deviator participates
 // in), it can pin a deviation to a single epoch, which is what lets
-// CheckFaithfulness(…, PerEpoch()) replay the (node, deviation) grid
-// per epoch and attribute each violation to the epoch that admits it.
+// CheckConfig.PerEpoch replay the (node, deviation) grid per epoch and
+// attribute each violation to the epoch that admits it.
 type EpochedSystem interface {
 	System
 	// NumEpochs reports how many epochs a run spans (≥ 1).
@@ -182,7 +182,7 @@ var ErrNoBaseline = errors.New("core: baseline run failed")
 // that does not implement EpochedSystem.
 var ErrNotEpoched = errors.New("core: PerEpoch requires an EpochedSystem")
 
-// CheckFaithfulness plays every catalogued unilateral deviation of
+// CheckFaithfulnessCfg plays every catalogued unilateral deviation of
 // every node against the suggested specification and records each
 // strict utility gain. Under the benevolence assumption (Remark 1) a
 // weak equilibrium suffices: ties are not violations.
@@ -191,24 +191,15 @@ var ErrNotEpoched = errors.New("core: PerEpoch requires an EpochedSystem")
 // quantify over profiles by invoking it across many sampled Systems
 // (the deviation search of experiment E6).
 //
-// With no options the search is sequential — the reference oracle.
-// Options are the deprecated spelling of CheckConfig fields; new code
-// should call CheckFaithfulnessCfg. The Report is byte-identical for
-// every worker count: see check.go for how the engine keeps
-// scheduling out of the output.
-func CheckFaithfulness(sys System, opts ...CheckOption) (Report, error) {
-	return check(sys, applyOptions(opts))
-}
-
-// CheckFaithfulnessCfg is CheckFaithfulness with the full engine
-// configuration: worker pool, early stop, per-epoch grids, profit-
-// bound pruning (PruneBound / VerifyPruned), and play-context
-// pooling. The zero CheckConfig is the sequential reference oracle.
+// cfg selects the worker pool, early stop, per-epoch grids and
+// profit-bound pruning; the zero CheckConfig is the sequential
+// reference oracle. The Report is byte-identical for every worker
+// count: see check.go for how the engine keeps scheduling out of the
+// output.
 //
 // When sys implements StatefulSystem, the truthful state is
 // snapshotted once and every play overlays it through a worker-owned
-// PlayContext; legacy systems are adapted transparently (AsStateful)
-// and behave exactly as before.
+// PlayContext; other systems are adapted transparently (AsStateful).
 func CheckFaithfulnessCfg(sys System, cfg CheckConfig) (Report, error) {
 	return check(sys, cfg)
 }
@@ -241,6 +232,6 @@ func (d BasicDeviation) Name() string { return d.DevName }
 
 // Classes implements Deviation. The returned slice is shared — the
 // check loop calls Classes on every play, and a defensive copy per
-// call is pure garbage; CheckFaithfulness copies it only when it
+// call is pure garbage; CheckFaithfulnessCfg copies it only when it
 // records a Violation. Callers must treat the result as read-only.
 func (d BasicDeviation) Classes() []spec.ActionKind { return d.DevClasses }

@@ -64,7 +64,7 @@ func TestFaithfulWhenNoGain(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "drop-msg", -5, spec.MessagePassing)
 	f.addDeviation(1, "lie-cost", 0, spec.InfoRevelation) // tie: benevolence, not a violation
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestViolationAttribution(t *testing.T) {
 	f.addDeviation(0, "spoof-price", 7, spec.MessagePassing, spec.Computation)
 	f.addDeviation(1, "lie-cost", 3, spec.InfoRevelation)
 	f.addDeviation(1, "harmless", -1, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestViolationAttribution(t *testing.T) {
 func TestACOnlyViolation(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "miscompute", 4, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestACOnlyViolation(t *testing.T) {
 func TestBaselineError(t *testing.T) {
 	f := newFake()
 	f.baseErr = errors.New("boom")
-	if _, err := CheckFaithfulness(f); !errors.Is(err, ErrNoBaseline) {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); !errors.Is(err, ErrNoBaseline) {
 		t.Errorf("err = %v, want ErrNoBaseline", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestRunError(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "x", 1, spec.Computation)
 	f.runErr = errors.New("deviant run failed")
-	if _, err := CheckFaithfulness(f); err == nil {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -147,7 +147,7 @@ func TestRunError(t *testing.T) {
 func TestMissingUtility(t *testing.T) {
 	f := newFake()
 	delete(f.baseline, 1)
-	if _, err := CheckFaithfulness(f); err == nil {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{}); err == nil {
 		t.Error("missing baseline utility should error")
 	}
 }
@@ -157,7 +157,7 @@ func TestViolationsSorted(t *testing.T) {
 	f.addDeviation(1, "zz", 1, spec.Computation)
 	f.addDeviation(1, "aa", 1, spec.Computation)
 	f.addDeviation(0, "mm", 1, spec.Computation)
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestViolationClassesIsolatedFromDeviation(t *testing.T) {
 	f := newFake()
 	f.devs[0] = append(f.devs[0], d)
 	f.gain[0]["x"] = 5
-	rep, err := CheckFaithfulness(f)
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,10 @@ func TestViolationClassesIsolatedFromDeviation(t *testing.T) {
 	}
 }
 
-func ExampleCheckFaithfulness() {
+func ExampleCheckFaithfulnessCfg() {
 	f := newFake()
 	f.addDeviation(0, "drop-forward", 9, spec.MessagePassing)
-	rep, _ := CheckFaithfulness(f)
+	rep, _ := CheckFaithfulnessCfg(f, CheckConfig{})
 	fmt.Println(rep.Faithful(), rep.CC())
 	// Output: false false
 }

@@ -93,7 +93,7 @@ func (f *fakeEpoched) RunEpoch(deviator NodeID, dev Deviation, epoch int) (Outco
 func TestPerEpochRequiresEpochedSystem(t *testing.T) {
 	f := newFake()
 	f.addDeviation(0, "x", 1, spec.Computation)
-	if _, err := CheckFaithfulness(f, PerEpoch()); !errors.Is(err, ErrNotEpoched) {
+	if _, err := CheckFaithfulnessCfg(f, CheckConfig{PerEpoch: true}); !errors.Is(err, ErrNotEpoched) {
 		t.Fatalf("err = %v, want ErrNotEpoched", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestPerEpochGridAndAttribution(t *testing.T) {
 	f.addDeviation(0, "boundary", []int64{0, 7, 0}, []int{1}, spec.Computation)
 	// Active everywhere, profitable in epochs 0 and 2.
 	f.addDeviation(1, "everywhere", []int64{3, -2, 5}, nil, spec.MessagePassing)
-	rep, err := CheckFaithfulness(f, PerEpoch())
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{PerEpoch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,21 @@ func randomFakeEpoched(seed int64) *fakeEpoched {
 func TestPerEpochDifferentialParallelVsSequential(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		f := randomFakeEpoched(seed)
-		for _, extra := range [][]CheckOption{nil, {EarlyStop()}} {
-			opts := append([]CheckOption{PerEpoch()}, extra...)
-			want, err := CheckFaithfulness(f, opts...)
+		for _, earlyStop := range []bool{false, true} {
+			cfg := CheckConfig{PerEpoch: true, EarlyStop: earlyStop}
+			want, err := CheckFaithfulnessCfg(f, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 5} {
-				got, err := CheckFaithfulness(f, append(opts, Workers(workers))...)
+				cfg.Workers = workers
+				got, err := CheckFaithfulnessCfg(f, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("seed %d workers %d earlyStop=%v: %+v != sequential %+v",
-						seed, workers, len(extra) > 0, got, want)
+						seed, workers, earlyStop, got, want)
 				}
 			}
 		}
@@ -202,7 +203,7 @@ func TestPerEpochEarlyStopSavesWork(t *testing.T) {
 	f := newFakeEpoched(4)
 	f.addDeviation(0, "win-late", []int64{0, 0, 6, 0}, nil, spec.Computation)
 	f.addDeviation(1, "win-early", []int64{2, 0, 0, 0}, nil, spec.Computation)
-	rep, err := CheckFaithfulness(f, PerEpoch(), EarlyStop())
+	rep, err := CheckFaithfulnessCfg(f, CheckConfig{EarlyStop: true, PerEpoch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

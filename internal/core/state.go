@@ -3,52 +3,31 @@ package core
 // PlayContext is the arena a worker threads through consecutive plays
 // so steady-state plays can reuse graph scratch, pooled networks,
 // bank ledgers, and result maps instead of re-materializing them. The
-// engine owns one context per worker (or one per play under
-// CheckConfig.FreshContexts) and never shares a context between
-// goroutines; a System's Play may therefore mutate it freely.
+// engine owns one context per worker and never shares a context
+// between goroutines; a System's Play may therefore mutate it freely.
 //
 // Ownership contract: anything a Play returns out of the context —
 // in particular the Outcome — is valid only until the next Play on
 // the same context. The engine honors this by extracting what it
 // needs (the deviator's utility) before reusing the context.
 type PlayContext struct {
-	worker  int
 	scratch map[any]any
 }
 
-// NewPlayContext returns an empty context tagged with a worker index.
-// Exposed for oracles and tests that drive StatefulSystem.Play
-// directly; the engine builds its own.
-func NewPlayContext(worker int) *PlayContext {
-	return &PlayContext{worker: worker}
-}
-
-// Worker returns the owning worker's index (0-based).
-func (c *PlayContext) Worker() int {
-	if c == nil {
-		return 0
-	}
-	return c.worker
+// NewPlayContext returns an empty context. Exposed for oracles, tests
+// and one-shot runs that drive StatefulSystem.Play directly; the
+// engine builds its own.
+func NewPlayContext() *PlayContext {
+	return &PlayContext{}
 }
 
 // Value returns the context's entry for key, calling mk to build it
 // on first use. Keys follow the context.Context convention: packages
 // key with unexported types of their own, so the rational and churn
-// arenas coexist in one context without colliding. A nil context
-// builds a fresh value every call — Play implementations degrade to
-// unpooled allocation rather than failing.
+// arenas coexist in one context without colliding.
 func (c *PlayContext) Value(key any, mk func() any) any {
-	if c == nil {
-		if mk == nil {
-			return nil
-		}
-		return mk()
-	}
 	if v, ok := c.scratch[key]; ok {
 		return v
-	}
-	if mk == nil {
-		return nil
 	}
 	if c.scratch == nil {
 		c.scratch = make(map[any]any)
@@ -72,7 +51,7 @@ type TruthfulState interface {
 
 // StatefulSystem splits the monolithic System.Run lifecycle into an
 // explicit snapshot/play pair: Snapshot computes the truthful state
-// once, Play runs one deviant overlay against it. CheckFaithfulness
+// once, Play runs one deviant overlay against it. CheckFaithfulnessCfg
 // uses this interface when available (building the snapshot once and
 // fanning plays over worker-owned contexts) and falls back to
 // System.Run otherwise — see AsStateful.

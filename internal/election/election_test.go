@@ -89,7 +89,7 @@ func TestNaiveDodgingProfits(t *testing.T) {
 
 func TestNaiveSystemViolatesIC(t *testing.T) {
 	sys := &System{Cfg: cfg(t, Naive, []int64{3, 9, 5, 2}, 4)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFaithfulSystemIsFaithful(t *testing.T) {
 	}
 	for pi, powers := range profiles {
 		sys := &System{Cfg: cfg(t, Faithful, powers, int64(10+pi))}
-		rep, err := core.CheckFaithfulness(sys)
+		rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,7 +176,7 @@ func E3Detection(p Params) (*Table, error) {
 		Headers:    []string{"deviation", "classes", "runs", "caught or neutralized", "profitable anywhere"},
 	}
 	// Fan the (deviation, node) plays over the worker pool — the same
-	// grid core.CheckFaithfulness parallelizes — and fold the
+	// grid core.CheckFaithfulnessCfg parallelizes — and fold the
 	// detection stats back in catalogue order.
 	devs := sys.Deviations(0)
 	nodes := sys.Nodes()

@@ -115,7 +115,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 // workers run; in-flight plays finish against the old state.
 func (m *Monitor) Bind(comp *scenario.Compiled, central *fpss.Central) error {
 	plain, faithfulSys := comp.Systems()
-	var sys core.System
+	var sys core.StatefulSystem
 	if m.cfg.Faithful {
 		if central != nil {
 			faithfulSys.SeedHonest(central.Sol)
@@ -127,24 +127,20 @@ func (m *Monitor) Bind(comp *scenario.Compiled, central *fpss.Central) error {
 		}
 		sys = plain
 	}
-	ss, ok := sys.(core.StatefulSystem)
-	if !ok {
-		ss = core.AsStateful(sys)
-	}
-	st, err := ss.Snapshot()
+	st, err := sys.Snapshot()
 	if err != nil {
 		return fmt.Errorf("live: monitor snapshot: %w", err)
 	}
 	var grid []samplePair
-	for _, n := range ss.Nodes() {
-		for _, d := range ss.Deviations(n) {
+	for _, n := range sys.Nodes() {
+		for _, d := range sys.Deviations(n) {
 			grid = append(grid, samplePair{node: n, dev: d})
 		}
 	}
 	if len(grid) == 0 {
 		return errors.New("live: monitor grid is empty")
 	}
-	state := &sampleState{sys: ss, st: st, grid: grid, order: permute(len(grid), m.cfg.Seed)}
+	state := &sampleState{sys: sys, st: st, grid: grid, order: permute(len(grid), m.cfg.Seed)}
 
 	m.mu.Lock()
 	m.cur = state
@@ -182,7 +178,7 @@ func (m *Monitor) Start() {
 	m.startOnce.Do(func() {
 		for w := 0; w < m.cfg.workers(); w++ {
 			m.wg.Add(1)
-			go m.worker(w)
+			go m.worker()
 		}
 	})
 }
@@ -197,9 +193,9 @@ func (m *Monitor) Stop() {
 	m.wg.Wait()
 }
 
-func (m *Monitor) worker(w int) {
+func (m *Monitor) worker() {
 	defer m.wg.Done()
-	ctx := core.NewPlayContext(w)
+	ctx := core.NewPlayContext()
 	for {
 		select {
 		case <-m.stop:

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -311,25 +312,64 @@ func (s *Server) pay(req Request) Response {
 	}
 	// Mirrors fpss obligation accounting: VCG pays the DATA3* prices,
 	// the declared-cost scheme pays each transit its converged DATA1
-	// declaration.
+	// declaration. Packets comes off the wire, so every product and sum
+	// is checked: a wrapped amount would be a wrong answer served as OK.
+	overflow := func() Response {
+		return fail("live: payment for %d packets overflows int64", packets)
+	}
 	list := make(fpss.PaymentList)
+	owe := func(k graph.NodeID, price int64) bool {
+		amount, ok := mulInt64(price, packets)
+		if ok {
+			list[k], ok = addInt64(list[k], amount)
+		}
+		return ok
+	}
 	switch st.comp.Params.Scheme {
 	case fpss.SchemeDeclaredCost:
 		for _, k := range e.Path.TransitNodes() {
-			list[k] += int64(st.declared[k]) * packets
+			if !owe(k, int64(st.declared[k])) {
+				return overflow()
+			}
 		}
 	default: // VCG
 		for k, pe := range node.PricingView()[dst] {
-			list[k] += int64(pe.Price) * packets
+			if !owe(k, int64(pe.Price)) {
+				return overflow()
+			}
 		}
 	}
 	payments := make([]Payment, 0, len(list))
 	var total int64
 	for _, k := range sortedKeys(list) {
 		payments = append(payments, Payment{To: int(k), Amount: list[k]})
-		total += list[k]
+		var ok bool
+		if total, ok = addInt64(total, list[k]); !ok {
+			return overflow()
+		}
 	}
 	return Response{OK: true, Payments: payments, Total: total, Epoch: s.epoch}
+}
+
+// mulInt64 returns a*b and whether it fits in an int64.
+func mulInt64(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	if p/b != a || (b == -1 && a == math.MinInt64) {
+		return 0, false
+	}
+	return p, true
+}
+
+// addInt64 returns a+b and whether it fits in an int64.
+func addInt64(a, b int64) (int64, bool) {
+	s := a + b
+	if (b > 0 && s < a) || (b < 0 && s > a) {
+		return 0, false
+	}
+	return s, true
 }
 
 func (s *Server) stats() Response {

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/fpss"
@@ -202,5 +204,71 @@ func TestServerInjectDeviant(t *testing.T) {
 	stats = srv.Dispatch(Request{Op: OpStats}).Stats
 	if stats.Deviant != "" || stats.Divergence != 0 {
 		t.Fatalf("reset did not restore the honest epoch: %+v", stats)
+	}
+}
+
+// TestServerPayOverflow: a wire-supplied packet count large enough to
+// overflow the price × packets products (or their sum) must fail the
+// request, never answer OK with wrapped amounts. Every answer is
+// checked against exact big-integer arithmetic over the central
+// prices.
+func TestServerPayOverflow(t *testing.T) {
+	sp := scenario.Spec{Family: scenario.Random, N: 8, Seed: 1}
+	srv, err := NewServer(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	comp, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := fpss.ComputeCentral(comp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const packets = math.MaxInt64 / 2
+	overflows := 0
+	n := comp.Graph.N()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			want := make(map[int]*big.Int)
+			total := new(big.Int)
+			exact := true
+			for k, pe := range sol.Pricing[graph.NodeID(src)][graph.NodeID(dst)] {
+				amount := new(big.Int).Mul(big.NewInt(int64(pe.Price)), big.NewInt(packets))
+				want[int(k)] = amount
+				total.Add(total, amount)
+				exact = exact && amount.IsInt64()
+			}
+			exact = exact && total.IsInt64()
+
+			resp := srv.Dispatch(Request{Op: OpPay, Src: src, Dst: dst, Packets: packets})
+			if !exact {
+				overflows++
+				if resp.OK {
+					t.Fatalf("pay %d->%d: overflowing payment answered OK: %+v", src, dst, resp)
+				}
+				continue
+			}
+			if !resp.OK {
+				t.Fatalf("pay %d->%d: %s", src, dst, resp.Err)
+			}
+			if resp.Total != total.Int64() || len(resp.Payments) != len(want) {
+				t.Fatalf("pay %d->%d: got %+v, want total %v over %d transits", src, dst, resp, total, len(want))
+			}
+			for _, p := range resp.Payments {
+				if w, ok := want[p.To]; !ok || p.Amount != w.Int64() {
+					t.Fatalf("pay %d->%d: transit %d amount %d, want %v", src, dst, p.To, p.Amount, w)
+				}
+			}
+		}
+	}
+	if overflows == 0 {
+		t.Fatal("no pair overflows: the packet count does not exercise the check")
 	}
 }

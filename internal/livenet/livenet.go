@@ -61,19 +61,10 @@ type Net struct {
 	pending  int64 // in-flight credits (messages + unstarted inits + pending restarts)
 	counters Counters
 	loss     *sim.LossScheduler
-	faults   *faultSchedule
+	faults   *sim.CrashSchedule // guarded by mu
 	started  bool
 	closed   bool
 	wg       sync.WaitGroup
-}
-
-// faultSchedule is the livenet analogue of the simulator's faultState:
-// per-address pending crash entries consumed in order, delivery counts
-// since the last arm point, and the down set. Guarded by Net.mu.
-type faultSchedule struct {
-	pending map[sim.Addr][]sim.Crash
-	counts  map[sim.Addr]int64
-	down    map[sim.Addr]bool
 }
 
 // restartMarker is the mailbox payload that brings a crashed address
@@ -158,22 +149,7 @@ func (n *Net) SetLoss(m sim.LossModel) {
 func (n *Net) SetFaults(m sim.FaultModel) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !m.Enabled() {
-		n.faults = nil
-		return
-	}
-	fs := &faultSchedule{
-		pending: make(map[sim.Addr][]sim.Crash),
-		counts:  make(map[sim.Addr]int64),
-		down:    make(map[sim.Addr]bool),
-	}
-	for _, c := range m.Schedule {
-		if c.AfterDeliveries < 1 {
-			c.AfterDeliveries = 1
-		}
-		fs.pending[c.Addr] = append(fs.pending[c.Addr], c)
-	}
-	n.faults = fs
+	n.faults = sim.NewCrashSchedule(m)
 }
 
 // liveContext implements sim.Context for a worker goroutine.
@@ -259,14 +235,13 @@ func (n *Net) classify(addr sim.Addr, msg sim.Message) deliverState {
 	defer n.mu.Unlock()
 	n.counters.Steps++
 	if _, isMarker := msg.Payload.(restartMarker); isMarker {
-		if n.faults != nil && n.faults.down[addr] {
-			delete(n.faults.down, addr)
+		if n.faults.Restore(addr) {
 			n.counters.Restarts++
 			return restart
 		}
 		return dropDown // stale marker; the credit is still released
 	}
-	if n.faults != nil && n.faults.down[addr] {
+	if n.faults.Down(addr) {
 		n.counters.CrashDropped++
 		return dropDown
 	}
@@ -284,21 +259,11 @@ func (n *Net) classify(addr sim.Addr, msg sim.Message) deliverState {
 // is processed).
 func (n *Net) observeDelivery(addr sim.Addr) {
 	n.mu.Lock()
-	fs := n.faults
-	if fs == nil || len(fs.pending[addr]) == 0 {
+	c, fired := n.faults.Observe(addr)
+	if !fired {
 		n.mu.Unlock()
 		return
 	}
-	fs.counts[addr]++
-	q := fs.pending[addr]
-	if fs.counts[addr] < q[0].AfterDeliveries {
-		n.mu.Unlock()
-		return
-	}
-	c := q[0]
-	fs.pending[addr] = q[1:]
-	fs.counts[addr] = 0 // the next entry counts from here (or from restart)
-	fs.down[addr] = true
 	n.counters.Crashes++
 	var box *mailbox
 	if c.RestartDelay >= 0 {
@@ -419,7 +384,7 @@ func (n *Net) Shutdown() {
 func (n *Net) Down(addr sim.Addr) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.faults != nil && n.faults.down[addr]
+	return n.faults.Down(addr)
 }
 
 // Counters returns an isolated snapshot of traffic statistics.

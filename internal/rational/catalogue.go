@@ -5,7 +5,7 @@
 // execution-phase payment fraud (§4.3 manipulations 1–4 plus joint
 // combinations) — together with core.System adapters that play each
 // deviation against the plain FPSS protocol and against the faithful
-// extension. core.CheckFaithfulness over these systems is the
+// extension. core.CheckFaithfulnessCfg over these systems is the
 // deviation search of experiment E6: plain FPSS admits profitable
 // deviations; the extended specification admits none.
 package rational
@@ -104,7 +104,7 @@ func (d *Deviation) Name() string { return d.name }
 
 // Classes implements core.Deviation. The returned slice is shared and
 // read-only: the deviation-search hot loop calls Classes on every
-// play, and core.CheckFaithfulness copies it only when recording a
+// play, and core.CheckFaithfulnessCfg copies it only when recording a
 // Violation.
 func (d *Deviation) Classes() []spec.ActionKind { return d.classes }
 

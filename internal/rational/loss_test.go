@@ -66,7 +66,7 @@ func TestLossCatalogueGating(t *testing.T) {
 func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: lossParams(g, 5)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLossDeviationsUnprofitableInFaithful(t *testing.T) {
 func TestLossPlainExposesFakeLoss(t *testing.T) {
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: lossParams(g, 5)}
-	if _, err := core.CheckFaithfulness(sys); err != nil {
+	if _, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }

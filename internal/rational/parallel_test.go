@@ -39,14 +39,14 @@ func TestParallelCheckMatchesSequentialOracle(t *testing.T) {
 			// reports carry many more violations to compare.
 			params.Scheme = fpss.SchemeDeclaredCost
 		}
-		seq, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params})
+		seq, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Alternate pool sizes across trials (every graph still gets a
 		// full sequential-vs-parallel comparison).
 		workers := 2 + 6*(trial%2)
-		par, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.Workers(workers))
+		par, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +78,11 @@ func TestParallelFaithfulCheckMatchesSequentialOracle(t *testing.T) {
 			}
 		}
 		params := DefaultParams(g)
-		seq, err := core.CheckFaithfulness(&FaithfulSystem{Graph: g, Params: params})
+		seq, err := core.CheckFaithfulnessCfg(&FaithfulSystem{Graph: g, Params: params}, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.CheckFaithfulness(&FaithfulSystem{Graph: g, Params: params}, core.Workers(4))
+		par, err := core.CheckFaithfulnessCfg(&FaithfulSystem{Graph: g, Params: params}, core.CheckConfig{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,18 +101,18 @@ func TestParallelFaithfulCheckMatchesSequentialOracle(t *testing.T) {
 func TestEarlyStopVerdictOnPlain(t *testing.T) {
 	g := graph.Figure1()
 	params := DefaultParams(g)
-	full, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params})
+	full, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Faithful() {
 		t.Fatal("plain FPSS should not be faithful")
 	}
-	seq, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.EarlyStop())
+	seq, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{EarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.CheckFaithfulness(&PlainSystem{Graph: g, Params: params}, core.EarlyStop(), core.Workers(4))
+	par, err := core.CheckFaithfulnessCfg(&PlainSystem{Graph: g, Params: params}, core.CheckConfig{Workers: 4, EarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

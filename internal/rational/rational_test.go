@@ -46,7 +46,7 @@ func TestCatalogueShape(t *testing.T) {
 func TestPlainFPSSAdmitsProfitableDeviations(t *testing.T) {
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPlainFPSSNaivePricingViolatesIC(t *testing.T) {
 	p := DefaultParams(g)
 	p.Scheme = fpss.SchemeDeclaredCost
 	sys := &PlainSystem{Graph: g, Params: p}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPlainFPSSVCGKeepsCostMisreportsUnprofitable(t *testing.T) {
 	// deviations do.
 	g := graph.Figure1()
 	sys := &PlainSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFaithfulSystemIsFaithfulFigure1(t *testing.T) {
 	}
 	g := graph.Figure1()
 	sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
-	rep, err := core.CheckFaithfulness(sys)
+	rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFaithfulSystemIsFaithfulRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
-		rep, err := core.CheckFaithfulness(sys)
+		rep, err := core.CheckFaithfulnessCfg(sys, core.CheckConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

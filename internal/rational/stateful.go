@@ -1,6 +1,7 @@
 package rational
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bank"
@@ -20,6 +21,10 @@ import (
 // protocol simulation entirely, and full plays draw their network,
 // bank, and result maps from the worker's play-context arena.
 
+// errForeignSnapshot rejects a Play against a snapshot another system
+// took: the overlay fast paths read the snapshot's concrete state.
+var errForeignSnapshot = errors.New("rational: play against a foreign snapshot")
+
 // arenaKey keys the rational play arena in a core.PlayContext
 // (unexported type per the context.Context convention, so the churn
 // package's arena coexists without colliding).
@@ -29,8 +34,7 @@ type arenaKey struct{}
 // caller-owned simulator network and bank (consolidating what used to
 // cycle through the sim/faithful package pools under contention), and
 // the per-play maps that deviation searches otherwise reallocate tens
-// of thousands of times. All methods tolerate a nil receiver by
-// falling back to fresh allocation — that is the legacy Run behavior.
+// of thousands of times.
 type playArena struct {
 	net      *sim.Network
 	bank     *bank.Bank
@@ -44,19 +48,12 @@ type playArena struct {
 }
 
 // arenaOf returns the context's rational arena, building it on first
-// use. A nil context yields a nil arena — every helper then allocates
-// fresh, so plays still work, just unpooled.
+// use.
 func arenaOf(ctx *core.PlayContext) *playArena {
-	if ctx == nil {
-		return nil
-	}
 	return ctx.Value(arenaKey{}, func() any { return &playArena{} }).(*playArena)
 }
 
 func (a *playArena) network() *sim.Network {
-	if a == nil {
-		return nil // protocol runs fall back to the package pool
-	}
 	if a.net == nil {
 		a.net = sim.NewNetwork()
 	}
@@ -64,97 +61,22 @@ func (a *playArena) network() *sim.Network {
 }
 
 func (a *playArena) auditBank() *bank.Bank {
-	if a == nil {
-		return nil // faithful.Run falls back to its pool
-	}
 	if a.bank == nil {
 		a.bank = new(bank.Bank)
 	}
 	return a.bank
 }
 
-func (a *playArena) outcome(hint int) map[core.NodeID]int64 {
-	if a == nil {
-		return make(map[core.NodeID]int64, hint)
-	}
-	if a.util == nil {
-		a.util = make(map[core.NodeID]int64, hint)
+// reused returns the arena map *m emptied for the next play, making
+// it with the size hint on first use. Clearing keeps the buckets, so
+// steady-state plays do not reallocate.
+func reused[M ~map[K]V, K comparable, V any](m *M, hint int) M {
+	if *m == nil {
+		*m = make(M, hint)
 	} else {
-		clear(a.util)
+		clear(*m)
 	}
-	return a.util
-}
-
-func (a *playArena) routingViews(hint int) map[graph.NodeID]fpss.RoutingTable {
-	if a == nil {
-		return make(map[graph.NodeID]fpss.RoutingTable, hint)
-	}
-	if a.routing == nil {
-		a.routing = make(map[graph.NodeID]fpss.RoutingTable, hint)
-	} else {
-		clear(a.routing)
-	}
-	return a.routing
-}
-
-func (a *playArena) pricingViews(hint int) map[graph.NodeID]fpss.PricingTable {
-	if a == nil {
-		return make(map[graph.NodeID]fpss.PricingTable, hint)
-	}
-	if a.pricing == nil {
-		a.pricing = make(map[graph.NodeID]fpss.PricingTable, hint)
-	} else {
-		clear(a.pricing)
-	}
-	return a.pricing
-}
-
-func (a *playArena) declaredCosts(hint int) fpss.CostTable {
-	if a == nil {
-		return make(fpss.CostTable, hint)
-	}
-	if a.declared == nil {
-		a.declared = make(fpss.CostTable, hint)
-	} else {
-		clear(a.declared)
-	}
-	return a.declared
-}
-
-func (a *playArena) plainStrategies() map[graph.NodeID]*fpss.Strategy {
-	if a == nil {
-		return make(map[graph.NodeID]*fpss.Strategy, 1)
-	}
-	if a.pstrat == nil {
-		a.pstrat = make(map[graph.NodeID]*fpss.Strategy, 1)
-	} else {
-		clear(a.pstrat)
-	}
-	return a.pstrat
-}
-
-func (a *playArena) faithfulStrategies() map[graph.NodeID]*faithful.Strategy {
-	if a == nil {
-		return make(map[graph.NodeID]*faithful.Strategy, 1)
-	}
-	if a.fstrat == nil {
-		a.fstrat = make(map[graph.NodeID]*faithful.Strategy, 1)
-	} else {
-		clear(a.fstrat)
-	}
-	return a.fstrat
-}
-
-func (a *playArena) reportHooks() map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList {
-	if a == nil {
-		return make(map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList, 1)
-	}
-	if a.hooks == nil {
-		a.hooks = make(map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList, 1)
-	} else {
-		clear(a.hooks)
-	}
-	return a.hooks
+	return *m
 }
 
 // plainState is PlainSystem's truthful snapshot: the honest converged
@@ -268,7 +190,7 @@ func (s *PlainSystem) executeOn(st *plainState, hooks map[graph.NodeID]func(fpss
 func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*plainState)
 	if !ok {
-		return s.Run(deviator, dev) // foreign snapshot: stay correct
+		return core.Outcome{}, errForeignSnapshot
 	}
 	if deviator < 0 || dev == nil {
 		return snap.base, nil
@@ -279,13 +201,13 @@ func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviato
 	}
 	ar := arenaOf(ctx)
 	if d.ExecOnly() {
-		hooks := ar.reportHooks()
+		hooks := reused(&ar.hooks, 1)
 		hooks[graph.NodeID(deviator)] = d.reportPayment
 		exec, err := s.executeOn(snap, hooks)
 		if err != nil {
 			return core.Outcome{}, err
 		}
-		out := core.Outcome{Utilities: ar.outcome(len(exec.Utilities)), Completed: true}
+		out := core.Outcome{Utilities: reused(&ar.util, len(exec.Utilities)), Completed: true}
 		for id, u := range exec.Utilities {
 			out.Utilities[core.NodeID(id)] = u
 		}
@@ -294,7 +216,7 @@ func (s *PlainSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviato
 	if d.SettleOnly() && snap.batch != nil {
 		// The construction and execution phases stay honest: overlay
 		// the deviant settlement on the snapshot's batch directly.
-		out := core.Outcome{Utilities: ar.outcome(len(snap.base.Utilities)), Completed: true}
+		out := core.Outcome{Utilities: reused(&ar.util, len(snap.base.Utilities)), Completed: true}
 		for id, u := range snap.base.Utilities {
 			out.Utilities[id] = u
 		}
@@ -465,7 +387,7 @@ func outcomeOf(res *faithful.Result, util map[core.NodeID]int64) core.Outcome {
 func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, deviator core.NodeID, dev core.Deviation) (core.Outcome, error) {
 	snap, ok := st.(*faithfulState)
 	if !ok {
-		return s.Run(deviator, dev)
+		return core.Outcome{}, errForeignSnapshot
 	}
 	if deviator < 0 || dev == nil {
 		return snap.base, nil
@@ -476,19 +398,19 @@ func (s *FaithfulSystem) Play(ctx *core.PlayContext, st core.TruthfulState, devi
 	}
 	ar := arenaOf(ctx)
 	if d.ExecOnly() && snap.ok {
-		hooks := ar.reportHooks()
+		hooks := reused(&ar.hooks, 1)
 		hooks[graph.NodeID(deviator)] = d.reportPayment
 		res, err := faithful.ExecPlay(snap.exec, s.runConfig(nil, nil, nil), hooks)
 		if err != nil {
 			return core.Outcome{}, fmt.Errorf("faithful run: %w", err)
 		}
-		return outcomeOf(res, ar.outcome(len(res.Utilities))), nil
+		return outcomeOf(res, reused(&ar.util, len(res.Utilities))), nil
 	}
 	if d.SettleOnly() && snap.ok && snap.batch != nil {
 		// Everything up to the settlement window is honest and
 		// certified: overlay the deviant 2PC settlement on the
 		// snapshot's batch directly.
-		out := core.Outcome{Utilities: ar.outcome(len(snap.base.Utilities)), Completed: snap.base.Completed}
+		out := core.Outcome{Utilities: reused(&ar.util, len(snap.base.Utilities)), Completed: snap.base.Completed}
 		for id, u := range snap.base.Utilities {
 			out.Utilities[id] = u
 		}

@@ -1,6 +1,7 @@
 package rational
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -197,5 +198,26 @@ func TestPrunedAccounting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Violations, pruned.Violations) {
 		t.Fatalf("pruning changed the verdict: %+v vs %+v", full.Violations, pruned.Violations)
+	}
+}
+
+// TestPlayRejectsForeignSnapshot: a Play against another system's
+// snapshot is a caller bug, reported as an error rather than silently
+// answered by a fresh Run.
+func TestPlayRejectsForeignSnapshot(t *testing.T) {
+	g := graph.Figure1()
+	plain := &PlainSystem{Graph: g, Params: DefaultParams(g)}
+	faith := &FaithfulSystem{Graph: g, Params: DefaultParams(g)}
+	for _, tc := range []struct {
+		sys, other core.StatefulSystem
+	}{{plain, faith}, {faith, plain}} {
+		st, err := tc.other.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := tc.sys.Deviations(0)[0]
+		if _, err := tc.sys.Play(core.NewPlayContext(), st, 0, dev); !errors.Is(err, errForeignSnapshot) {
+			t.Errorf("%T: err = %v, want errForeignSnapshot", tc.sys, err)
+		}
 	}
 }

@@ -57,8 +57,8 @@ func DefaultParams(g *graph.Graph) Params {
 // the node list, the sorted flow order, the true-cost table, and (for
 // the faithful protocol) the topology/checker views. It is computed
 // once, lazily, and must never be mutated afterwards — that is what
-// makes a System's Run safe for the concurrent plays that
-// core.CheckFaithfulness(..., core.Workers(k)) fans out.
+// makes a System's Run safe for the concurrent plays that a check
+// with core.CheckConfig{Workers: k} fans out.
 type scenario struct {
 	once      sync.Once
 	cat       []core.Deviation
@@ -115,7 +115,7 @@ func Systems(g *graph.Graph, p Params) (*PlainSystem, *FaithfulSystem) {
 // obedient network assumed by FPSS, no checkers, accounting that
 // trusts reported payments. It implements core.System; Run is safe
 // for concurrent calls (scenario state is read-only once built), so
-// it composes with core.Workers.
+// it composes with CheckConfig.Workers.
 type PlainSystem struct {
 	Graph  *graph.Graph
 	Params Params
@@ -168,12 +168,12 @@ func (s *PlainSystem) Run(deviator core.NodeID, dev core.Deviation) (core.Outcom
 			return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
 		}
 	}
-	return s.play(deviator, d, nil)
+	return s.play(deviator, d, new(playArena))
 }
 
-// play is the shared body of Run and the arena-backed Play: a nil
-// arena allocates fresh (legacy Run semantics), a worker arena reuses
-// its network and per-play maps.
+// play is the shared body of Run and the arena-backed Play: Run hands
+// it a fresh arena, so its Outcome is the caller's; a worker arena
+// reuses its network and per-play maps.
 func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (core.Outcome, error) {
 	var strategies map[graph.NodeID]*fpss.Strategy
 	var reportHooks map[graph.NodeID]func(fpss.PaymentList) fpss.PaymentList
@@ -181,11 +181,11 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (c
 		node := graph.NodeID(deviator)
 		ctx := Ctx{Graph: s.Graph, Node: node}
 		if d.protocol != nil {
-			strategies = ar.plainStrategies()
+			strategies = reused(&ar.pstrat, 1)
 			strategies[node] = d.protocol(ctx)
 		}
 		if d.reportPayment != nil {
-			reportHooks = ar.reportHooks()
+			reportHooks = reused(&ar.hooks, 1)
 			reportHooks[node] = d.reportPayment
 		}
 	}
@@ -193,9 +193,9 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (c
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("plain run: %w", err)
 	}
-	routing := ar.routingViews(len(res.Nodes))
-	pricing := ar.pricingViews(len(res.Nodes))
-	declared := ar.declaredCosts(len(res.Nodes))
+	routing := reused(&ar.routing, len(res.Nodes))
+	pricing := reused(&ar.pricing, len(res.Nodes))
+	declared := reused(&ar.declared, len(res.Nodes))
 	for id, node := range res.Nodes {
 		// Quiescent-network views: Execute treats tables as read-only.
 		routing[id] = node.RoutingView()
@@ -215,7 +215,7 @@ func (s *PlainSystem) play(deviator core.NodeID, d *Deviation, ar *playArena) (c
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("plain execute: %w", err)
 	}
-	out := core.Outcome{Utilities: ar.outcome(len(exec.Utilities)), Completed: true}
+	out := core.Outcome{Utilities: reused(&ar.util, len(exec.Utilities)), Completed: true}
 	for id, u := range exec.Utilities {
 		out.Utilities[core.NodeID(id)] = u
 	}
@@ -279,7 +279,7 @@ func (s *FaithfulSystem) Run(deviator core.NodeID, dev core.Deviation) (core.Out
 			return core.Outcome{}, fmt.Errorf("rational: foreign deviation %q", dev.Name())
 		}
 	}
-	return s.play(deviator, d, nil)
+	return s.play(deviator, d, new(playArena))
 }
 
 // play is the shared body of Run and the arena-backed Play (see
@@ -303,14 +303,14 @@ func (s *FaithfulSystem) play(deviator core.NodeID, d *Deviation, ar *playArena)
 		if d.reportPayment != nil {
 			st.ReportPayment = d.reportPayment
 		}
-		strategies = ar.faithfulStrategies()
+		strategies = reused(&ar.fstrat, 1)
 		strategies[node] = st
 	}
 	res, err := faithful.Run(s.runConfig(strategies, ar.network(), ar.auditBank()))
 	if err != nil {
 		return core.Outcome{}, fmt.Errorf("faithful run: %w", err)
 	}
-	out := outcomeOf(res, ar.outcome(len(res.Utilities)))
+	out := outcomeOf(res, reused(&ar.util, len(res.Utilities)))
 	// Settlement clears only what the execution phase produced: a run
 	// the bank refused to green-light settles nothing.
 	if d != nil && deviator >= 0 && d.settle != nil && s.Params.Settle.Enabled() && res.Exec != nil {

@@ -167,7 +167,7 @@ func TestFaithfulnessOnCompiledScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.CheckFaithfulness(c.FaithfulSystem(), core.Workers(0))
+	rep, err := core.CheckFaithfulnessCfg(c.FaithfulSystem(), core.CheckConfig{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

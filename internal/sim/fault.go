@@ -73,33 +73,84 @@ func WithFaults(m FaultModel) Option {
 // mirroring SetLoss. Reset clears it, so pooled networks cannot replay
 // a previous scenario's crashes.
 func (n *Network) SetFaults(m FaultModel) {
-	if !m.Enabled() {
-		n.faults = nil
-		return
-	}
-	fs := &faultState{pending: make(map[Addr][]Crash), counts: make(map[Addr]int64)}
-	for _, c := range m.Schedule {
-		if c.AfterDeliveries < 1 {
-			c.AfterDeliveries = 1
-		}
-		fs.pending[c.Addr] = append(fs.pending[c.Addr], c)
-	}
-	n.faults = fs
+	n.faults = NewCrashSchedule(m)
 }
 
 // Down reports whether addr is currently crashed.
 func (n *Network) Down(addr Addr) bool {
-	return n.faults != nil && n.faults.down != nil && n.faults.down[addr]
+	return n.faults.Down(addr)
 }
 
-// faultState is a network's installed crash schedule plus its runtime
-// state: per-address pending entries (consumed in order), delivery
-// counts since the last arm point, and the set of currently-down
-// addresses.
-type faultState struct {
+// CrashSchedule is a FaultModel's runtime state: per-address pending
+// entries (consumed in order), delivery counts since the last arm
+// point, and the set of currently-down addresses. The simulator and
+// livenet both drive one, so the two runners crash and restore the
+// same addresses at the same delivery counts by construction. A nil
+// schedule — a disabled model — never crashes anything. Not safe for
+// concurrent use; livenet guards it with its network mutex.
+type CrashSchedule struct {
 	pending map[Addr][]Crash
 	counts  map[Addr]int64
 	down    map[Addr]bool
+}
+
+// NewCrashSchedule arms the model's entries in schedule order. A
+// disabled model yields nil.
+func NewCrashSchedule(m FaultModel) *CrashSchedule {
+	if !m.Enabled() {
+		return nil
+	}
+	s := &CrashSchedule{
+		pending: make(map[Addr][]Crash),
+		counts:  make(map[Addr]int64),
+		down:    make(map[Addr]bool),
+	}
+	for _, c := range m.Schedule {
+		if c.AfterDeliveries < 1 {
+			c.AfterDeliveries = 1
+		}
+		s.pending[c.Addr] = append(s.pending[c.Addr], c)
+	}
+	return s
+}
+
+// Down reports whether addr is currently crashed.
+func (s *CrashSchedule) Down(addr Addr) bool {
+	return s != nil && s.down[addr]
+}
+
+// Observe records one completed delivery to addr and reports whether
+// it armed a crash. If so, the entry is consumed, addr is down until
+// Restore, and the entry is returned so the caller can schedule its
+// restart after Crash.RestartDelay.
+func (s *CrashSchedule) Observe(addr Addr) (Crash, bool) {
+	if s == nil {
+		return Crash{}, false
+	}
+	q := s.pending[addr]
+	if len(q) == 0 {
+		return Crash{}, false
+	}
+	s.counts[addr]++
+	if s.counts[addr] < q[0].AfterDeliveries {
+		return Crash{}, false
+	}
+	c := q[0]
+	s.pending[addr] = q[1:]
+	s.counts[addr] = 0 // the next entry counts from here (or from restart)
+	s.down[addr] = true
+	return c, true
+}
+
+// Restore brings a crashed addr back up and reports whether it was
+// down; false means a stale restart (e.g. the schedule crashed the
+// addr again meanwhile), which the caller ignores.
+func (s *CrashSchedule) Restore(addr Addr) bool {
+	if !s.Down(addr) {
+		return false
+	}
+	delete(s.down, addr)
+	return true
 }
 
 // restartMarker is the internal payload that brings a crashed address
@@ -112,35 +163,13 @@ type restartMarker struct{}
 // implements Recoverer, runs the recovery hook before any further
 // delivery. Called by the drain loop on a restartMarker.
 func (n *Network) restore(addr Addr) {
-	if n.faults == nil || n.faults.down == nil || !n.faults.down[addr] {
-		return // stale marker (e.g. the schedule crashed the addr again meanwhile)
+	if !n.faults.Restore(addr) {
+		return
 	}
-	delete(n.faults.down, addr)
 	n.restarts++
 	if h, ctx := n.handler(addr); h != nil {
 		if r, ok := h.(Recoverer); ok {
 			r.Recover(ctx)
 		}
 	}
-}
-
-// observeDelivery records one delivery to addr and reports whether it
-// armed a crash; if so the entry is consumed and returned.
-func (fs *faultState) observeDelivery(addr Addr) (Crash, bool) {
-	q := fs.pending[addr]
-	if len(q) == 0 {
-		return Crash{}, false
-	}
-	fs.counts[addr]++
-	if fs.counts[addr] < q[0].AfterDeliveries {
-		return Crash{}, false
-	}
-	c := q[0]
-	fs.pending[addr] = q[1:]
-	fs.counts[addr] = 0 // the next entry counts from here (or from restart)
-	if fs.down == nil {
-		fs.down = make(map[Addr]bool)
-	}
-	fs.down[addr] = true
-	return c, true
 }

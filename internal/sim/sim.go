@@ -143,7 +143,7 @@ type Network struct {
 	delay  func(from, to Addr) int64
 	tamper func(m Message) (Message, bool)
 	loss   *lossState
-	faults *faultState
+	faults *CrashSchedule
 
 	sent, delivered, dropped, retried, lost, bytes, steps int64
 	crashes, restarts, crashDropped                       int64
@@ -453,17 +453,15 @@ func (n *Network) drain(maxSteps int64) (Counters, error) {
 		n.delivered++
 		n.bumpIn(ev.msg.To)
 		h.Recv(ctx, ev.msg)
-		if n.faults != nil {
-			if c, fired := n.faults.observeDelivery(ev.msg.To); fired {
-				n.crashes++
-				if c.RestartDelay >= 0 {
-					n.seq++
-					n.queue.push(event{
-						at:  n.now + c.RestartDelay,
-						seq: n.seq,
-						msg: Message{From: ev.msg.To, To: ev.msg.To, Payload: restartMarker{}},
-					})
-				}
+		if c, fired := n.faults.Observe(ev.msg.To); fired {
+			n.crashes++
+			if c.RestartDelay >= 0 {
+				n.seq++
+				n.queue.push(event{
+					at:  n.now + c.RestartDelay,
+					seq: n.seq,
+					msg: Message{From: ev.msg.To, To: ev.msg.To, Payload: restartMarker{}},
+				})
 			}
 		}
 	}
